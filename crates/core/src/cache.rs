@@ -8,7 +8,7 @@
 //! |--------------|-----------------------------------------|----------|
 //! | `projection` | the Fig. 3 halving pipeline (plus its degradation events) | alive set, query, search subspace, support, mode |
 //! | `profile`    | projected 2-D coordinates + grid KDE (Fig. 5) | alive set, query, 2-D projection, grid/bandwidth settings |
-//! | `coords`     | whole-data coordinates inside a search subspace | alive set, subspace |
+//! | `coords`     | whole-data coordinates inside a search subspace, as column blocks | alive set, subspace |
 //! | `gamma`      | data variance `γ` along one candidate direction | alive set, subspace, direction |
 //!
 //! Because every cached value is the exact (bit-for-bit) output the
@@ -24,6 +24,7 @@
 //! subspace coordinates across the pipeline's support restarts.
 
 use crate::config::{BandwidthMode, ProjectionMode};
+use crate::coords::CoordBlocks;
 use crate::degrade::DegradationEvent;
 use crate::projection::ProjectionResult;
 use hinn_cache::{CachePolicy, Fingerprint, Fnv128, LruCache};
@@ -40,7 +41,7 @@ pub struct SessionCache {
     /// Data variances along candidate directions.
     pub(crate) gamma: LruCache<f64>,
     /// Whole-data coordinates inside a search subspace.
-    pub(crate) coords: LruCache<Vec<Vec<f64>>>,
+    pub(crate) coords: LruCache<CoordBlocks>,
 }
 
 impl SessionCache {
@@ -124,13 +125,22 @@ impl SessionCache {
         h.finish()
     }
 
-    /// Key of the data variance along one candidate direction (expressed
-    /// in `subspace` coordinates).
-    pub fn gamma_key(alive: Fingerprint, subspace: &Subspace, direction: &[f64]) -> Fingerprint {
+    /// The part of a `γ` key that every candidate direction of one
+    /// subspace shares, so a round hashes the subspace once.
+    pub fn gamma_subspace_key(alive: Fingerprint, subspace: &Subspace) -> Fingerprint {
         let mut h = Fnv128::new();
         h.write_str("gamma");
         h.write_fingerprint(alive);
         write_subspace(&mut h, subspace);
+        h.finish()
+    }
+
+    /// Key of the data variance along one candidate direction (expressed
+    /// in the coordinates of the subspace behind `subspace_key`, a
+    /// [`SessionCache::gamma_subspace_key`]).
+    pub fn gamma_direction_key(subspace_key: Fingerprint, direction: &[f64]) -> Fingerprint {
+        let mut h = Fnv128::new();
+        h.write_fingerprint(subspace_key);
         h.write_usize(direction.len());
         h.write_f64s(direction);
         h.finish()
@@ -317,7 +327,7 @@ mod tests {
         let _ = c.gamma.get_or_insert_with(Fingerprint(1), || 1.0);
         let _ = c
             .coords
-            .get_or_insert_with(Fingerprint(2), || vec![vec![1.0]]);
+            .get_or_insert_with(Fingerprint(2), || CoordBlocks::from_rows(&[vec![1.0]]));
         assert_eq!(c.len(), 2);
         c.clear();
         assert!(c.is_empty());

@@ -1127,8 +1127,12 @@ impl<'a> SessionEngine<'a> {
         let build_profile = || {
             let mut pts2d: Vec<[f64; 2]> = vec![[0.0; 2]; cur.alive_points.len()];
             hinn_par::fill_chunks(par, &mut pts2d, |start, slice| {
+                // A degenerate search can stop above 2-D; the profile shows
+                // the first two coordinates.
+                let mut c = vec![0.0; proj.projection.dim()];
                 for (off, slot) in slice.iter_mut().enumerate() {
-                    let c = proj.projection.project(&cur.alive_points[start + off]);
+                    proj.projection
+                        .project_into(&cur.alive_points[start + off], &mut c);
                     *slot = [c[0], c[1]];
                 }
             });

@@ -34,6 +34,7 @@ pub mod batch;
 pub mod cache;
 pub mod candidates;
 pub mod config;
+mod coords;
 pub mod counts;
 pub mod degrade;
 pub mod diagnosis;

@@ -18,6 +18,7 @@
 
 use crate::cache::{ProjectionCacheCtx, SessionCache};
 use crate::config::ProjectionMode;
+use crate::coords::CoordBlocks;
 use crate::degrade::{DegradationEvent, DegradationKind};
 use crate::error::HinnError;
 use hinn_linalg::{covariance_matrix, try_jacobi_eigen, Matrix, Parallelism, Subspace};
@@ -147,7 +148,7 @@ pub fn try_query_cluster_subspace_mode_with(
         par,
         current,
         cluster_coords,
-        data_coords,
+        &CoordBlocks::from_rows(data_coords),
         l,
         mode,
         events,
@@ -164,7 +165,7 @@ fn try_query_cluster_subspace_mode_ctx(
     par: Parallelism,
     current: &Subspace,
     cluster_coords: &[Vec<f64>],
-    data_coords: &[Vec<f64>],
+    data_coords: &CoordBlocks,
     l: usize,
     mode: ProjectionMode,
     events: &mut Vec<DegradationEvent>,
@@ -178,7 +179,7 @@ fn try_query_cluster_subspace_mode_ctx(
             message: "query_cluster_subspace: l out of range".into(),
         });
     }
-    if cluster_coords.is_empty() || data_coords.is_empty() {
+    if cluster_coords.is_empty() || data_coords.len() == 0 {
         return Err(HinnError::InvalidInput {
             phase: "projection.subspace",
             message: "query_cluster_subspace: empty point sets".into(),
@@ -278,17 +279,18 @@ fn try_query_cluster_subspace_mode_ctx(
     // matches the floor the ranking historically applied.
     let mut scored: Vec<(f64, usize)> = Vec::with_capacity(candidates.len());
     let mut dropped = 0usize;
+    let gamma_cache = ctx.map(|c| (c, SessionCache::gamma_subspace_key(c.alive_fp, current)));
     for (i, (dir, lambda)) in candidates.iter().enumerate() {
-        let gamma = match ctx {
+        let gamma = match gamma_cache {
             // Memoized exact output: the cached value is the bit pattern
             // the scan below would produce, keyed by the full input.
-            Some(c) => *c
+            Some((c, space)) => *c
                 .cache
                 .gamma
-                .get_or_insert_with(SessionCache::gamma_key(c.alive_fp, current, dir), || {
-                    hinn_linalg::stats::variance_along_with(par, data_coords, dir)
+                .get_or_insert_with(SessionCache::gamma_direction_key(space, dir), || {
+                    data_coords.variance_along(par, dir)
                 }),
-            None => hinn_linalg::stats::variance_along_with(par, data_coords, dir),
+            None => data_coords.variance_along(par, dir),
         };
         if gamma < 1e-12 {
             dropped += 1;
@@ -466,19 +468,23 @@ fn try_find_projection_with_support(
     let mut ep = current.clone();
     let mut lp = ep.dim();
     let mut ratios = Vec::new();
+    // The previous round's coordinates: E_p only shrinks, so an
+    // axis-parallel round copies its columns from them.
+    let mut parent: Option<Arc<CoordBlocks>> = None;
     while lp > 2 {
         let next_l = (lp / 2).max(2);
-        // Coordinates of data and query inside the current E_p. Memoized
-        // per (alive set, subspace): the three support restarts share one
-        // round-1 scan, and warm sessions skip the projection entirely.
-        let data_coords: Arc<Vec<Vec<f64>>> = match ctx {
+        // Coordinates of data and query inside the current E_p, as column
+        // blocks. Memoized per (alive set, subspace): the three support
+        // restarts share one round-1 scan, and warm sessions skip the
+        // projection entirely.
+        let data_coords: Arc<CoordBlocks> = match ctx {
             Some(c) => c
                 .cache
                 .coords
                 .get_or_insert_with(SessionCache::coords_key(c.alive_fp, &ep), || {
-                    ep.project_all_with(par, points)
+                    CoordBlocks::project(par, &ep, points, parent.as_deref())
                 }),
-            None => Arc::new(ep.project_all_with(par, points)),
+            None => Arc::new(CoordBlocks::project(par, &ep, points, parent.as_deref())),
         };
         let q_coords = ep.project(query);
         // The s nearest points to the query within E_p (the tentative
@@ -487,21 +493,12 @@ fn try_find_projection_with_support(
         hinn_obs::counter("projection.points_scanned", data_coords.len() as u64);
         let mut order: Vec<(f64, usize)> = vec![(0.0, 0); data_coords.len()];
         fill_chunks(par, &mut order, |start, slice| {
-            // Transpose this chunk of projected coordinates into pooled
-            // column scratch and run the batch distance kernel — one
-            // point per SIMD lane, bit-identical to the scalar
+            // Run the batch distance kernel on this chunk's column block —
+            // one point per SIMD lane, bit-identical to the scalar
             // `vector::dist` per point (the per-point reduction keeps the
             // ascending-coordinate fold order).
-            let m = q_coords.len();
-            let len = slice.len();
-            let mut colbuf = hinn_cache::PooledF64::take_zeroed(m * len);
-            for off in 0..len {
-                for (j, &v) in data_coords[start + off].iter().enumerate() {
-                    colbuf[j * len + off] = v;
-                }
-            }
-            let cols: Vec<&[f64]> = (0..m).map(|j| &colbuf[j * len..(j + 1) * len]).collect();
-            let mut dists = hinn_cache::PooledF64::take_zeroed(len);
+            let cols = data_coords.columns(start);
+            let mut dists = hinn_cache::PooledF64::take_zeroed(slice.len());
             hinn_linalg::simd::dist_sq_cols(&cols, &q_coords, &mut dists);
             hinn_linalg::simd::sqrt_inplace(&mut dists);
             for (off, slot) in slice.iter_mut().enumerate() {
@@ -517,7 +514,7 @@ fn try_find_projection_with_support(
         drop(scan_span);
         let cluster_coords: Vec<Vec<f64>> = order[..keep]
             .iter()
-            .map(|&(_, i)| data_coords[i].clone())
+            .map(|&(_, i)| data_coords.row(i))
             .collect();
 
         let (next, r) = try_query_cluster_subspace_mode_ctx(
@@ -538,6 +535,7 @@ fn try_find_projection_with_support(
         ep = next;
         ratios = r;
         lp = ep.dim();
+        parent = Some(data_coords);
     }
 
     // If the search subspace was already 2-D we never entered the loop.

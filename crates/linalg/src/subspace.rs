@@ -9,7 +9,7 @@
 //! subspace coordinates back into the ambient space (the eigenvectors of
 //! Fig. 4 are computed in the coordinates of the current subspace).
 
-use crate::vector::{axpy, dot, norm, scale};
+use crate::vector::{axpy, dot, norm, scale, unit_axis};
 
 /// Tolerance below which a residual vector is considered linearly dependent
 /// and dropped during Gram–Schmidt.
@@ -19,6 +19,14 @@ const DEP_TOL: f64 = 1e-9;
 ///
 /// Basis vectors are stored as rows in ambient coordinates and are always
 /// orthonormal (enforced by construction).
+///
+/// Rows that are bit for bit standard unit vectors are recorded as such
+/// ([`Subspace::axes`]), and projection gathers those coordinates instead
+/// of taking dot products — bit-identical to [`dot`] (see
+/// [`crate::vector::unit_axis`]). Axis-parallel searches keep every row
+/// exactly axis-aligned: [`Subspace::full`], [`Subspace::sub_subspace`] of
+/// unit directions and [`Subspace::complement_within`] of axis-aligned
+/// subspaces produce only exact unit rows.
 ///
 /// ```
 /// use hinn_linalg::Subspace;
@@ -32,26 +40,40 @@ const DEP_TOL: f64 = 1e-9;
 /// let z_axis = Subspace::full(3).complement_within(&plane);
 /// assert!(z_axis.contains(&[0.0, 0.0, 1.0], 1e-9));
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone)]
 pub struct Subspace {
     ambient_dim: usize,
     basis: Vec<Vec<f64>>,
+    /// `axes[k] == Some(i)` iff `basis[k]` is bit for bit `e_i`.
+    axes: Vec<Option<usize>>,
+}
+
+// Equality and `Debug` see the basis alone: `axes` is derived from it.
+impl PartialEq for Subspace {
+    fn eq(&self, other: &Self) -> bool {
+        self.ambient_dim == other.ambient_dim && self.basis == other.basis
+    }
+}
+
+impl std::fmt::Debug for Subspace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Subspace")
+            .field("ambient_dim", &self.ambient_dim)
+            .field("basis", &self.basis)
+            .finish()
+    }
 }
 
 impl Subspace {
     /// The full space `R^d` with the standard basis.
     pub fn full(d: usize) -> Self {
-        let basis = (0..d)
-            .map(|i| {
-                let mut e = vec![0.0; d];
-                e[i] = 1.0;
-                e
-            })
-            .collect();
-        Self {
-            ambient_dim: d,
-            basis,
+        let mut s = Self::empty(d);
+        for i in 0..d {
+            let mut e = vec![0.0; d];
+            e[i] = 1.0;
+            s.push_row(e);
         }
+        s
     }
 
     /// The zero-dimensional subspace of `R^d`.
@@ -59,6 +81,7 @@ impl Subspace {
         Self {
             ambient_dim: d,
             basis: Vec::new(),
+            axes: Vec::new(),
         }
     }
 
@@ -87,11 +110,18 @@ impl Subspace {
         if rows.iter().any(|r| r.len() != ambient_dim) {
             return None;
         }
-        let s = Self {
-            ambient_dim,
-            basis: rows,
-        };
+        let mut s = Self::empty(ambient_dim);
+        for row in rows {
+            s.push_row(row);
+        }
         s.is_orthonormal(1e-9).then_some(s)
+    }
+
+    /// Append an (already orthonormalized) row, recording whether it is a
+    /// standard unit vector.
+    fn push_row(&mut self, row: Vec<f64>) {
+        self.axes.push(unit_axis(&row));
+        self.basis.push(row);
     }
 
     /// Attempt to extend the basis with (the component of) `v` orthogonal to
@@ -118,7 +148,7 @@ impl Subspace {
         if n <= DEP_TOL * (1.0 + norm(v)) {
             return false;
         }
-        self.basis.push(scale(&r, 1.0 / n));
+        self.push_row(scale(&r, 1.0 / n));
         true
     }
 
@@ -140,11 +170,41 @@ impl Subspace {
         &self.basis
     }
 
+    /// For each basis row, `Some(i)` iff the row is bit for bit the
+    /// standard unit vector `e_i` (see [`crate::vector::unit_axis`]).
+    #[inline]
+    pub fn axes(&self) -> &[Option<usize>] {
+        &self.axes
+    }
+
     /// `Proj(y, E)`: coordinates of `y` in this subspace's basis
     /// (an `l`-vector).
     pub fn project(&self, y: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.dim()];
+        self.project_into(y, &mut out);
+        out
+    }
+
+    /// [`Subspace::project`] into a caller-provided buffer of length
+    /// `dim()`. Each coordinate is `dot(y, e_k)` bit for bit: an
+    /// axis-aligned row gathers `y[i]`, falling back to the dot product
+    /// when `y[i]` is zero or `y` has a non-finite entry (the two cases
+    /// where the gather could differ, see [`crate::vector::unit_axis`]).
+    ///
+    /// # Panics
+    /// Panics if `y.len() != ambient_dim()` or `out.len() != dim()`.
+    pub fn project_into(&self, y: &[f64], out: &mut [f64]) {
         assert_eq!(y.len(), self.ambient_dim, "project: dimension mismatch");
-        self.basis.iter().map(|e| dot(y, e)).collect()
+        assert_eq!(out.len(), self.dim(), "project: output length mismatch");
+        // A non-short-circuiting fold, so the check vectorizes.
+        let gather_ok = self.axes.iter().any(Option::is_some)
+            && y.iter().fold(true, |ok, v| ok & v.is_finite());
+        for ((o, e), axis) in out.iter_mut().zip(&self.basis).zip(&self.axes) {
+            *o = match *axis {
+                Some(i) if gather_ok && y[i] != 0.0 => y[i],
+                _ => dot(y, e),
+            };
+        }
     }
 
     /// Project every point of a data set.
@@ -228,7 +288,7 @@ impl Subspace {
             }
             let n = norm(&r);
             if n > DEP_TOL {
-                out.basis.push(scale(&r, 1.0 / n));
+                out.push_row(scale(&r, 1.0 / n));
             }
         }
         out

@@ -120,6 +120,23 @@ pub fn axpy(c: f64, x: &[f64], y: &mut [f64]) {
     crate::simd::axpy_inplace(c, x, y);
 }
 
+/// `Some(i)` iff `x` is bit for bit the standard unit vector `e_i`:
+/// `x[i]` is `1.0` and every other entry is `+0.0`.
+///
+/// For such an `x`, [`dot`]`(y, x)` is `y[i]` bit for bit whenever `y[i]`
+/// is non-zero and every entry of `y` is finite: the other products are
+/// `±0.0`, and adding a signed zero to a non-zero value leaves it
+/// unchanged. A zero `y[i]` is excluded because the sign of the sum then
+/// depends on the signs of the other entries, and a non-finite entry
+/// because `∞ · 0 = NaN`. Projections use this to gather a coordinate
+/// instead of taking the product. Requiring `+0.0` (not `-0.0`) makes
+/// `dot(y, x)` a function of `y` and `i` alone, so coordinates along one
+/// axis can be shared between subspaces.
+pub fn unit_axis(x: &[f64]) -> Option<usize> {
+    let i = x.iter().position(|&v| v.to_bits() != 0)?;
+    (x[i] == 1.0 && x[i + 1..].iter().all(|&v| v.to_bits() == 0)).then_some(i)
+}
+
 /// Normalize `x` to unit Euclidean length, returning `None` for (near-)zero
 /// vectors which have no direction.
 pub fn normalized(x: &[f64]) -> Option<Vec<f64>> {
