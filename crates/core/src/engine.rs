@@ -1429,29 +1429,39 @@ fn config_fingerprint(config: &SearchConfig) -> Fingerprint {
 }
 
 /// Rank original indices by probability (descending), breaking ties by
-/// full-space Euclidean distance to the query (ascending), then index.
-/// Probabilities and squared distances are non-negative, so `total_cmp`
-/// coincides with the old partial order while staying total on poisoned
-/// (NaN) values.
+/// full-space Euclidean distance to the query (ascending), then index,
+/// and return the first `k`. Probabilities and squared distances are
+/// non-negative, so `total_cmp` coincides with the old partial order
+/// while staying total on poisoned (NaN) values.
+///
+/// Each point's distance is computed once, the `k` best are selected in
+/// linear time and only they are sorted. The order is total (ids are
+/// unique), so this returns exactly the prefix a full sort would.
 pub(crate) fn rank_neighbors(
     probabilities: &[f64],
     points: &[Vec<f64>],
     query: &[f64],
     k: usize,
 ) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..probabilities.len()).collect();
-    order.sort_by(|&a, &b| {
-        probabilities[b]
-            .total_cmp(&probabilities[a])
-            .then_with(|| {
-                let da = hinn_linalg::vector::dist_sq(&points[a], query);
-                let db = hinn_linalg::vector::dist_sq(&points[b], query);
-                da.total_cmp(&db)
-            })
-            .then(a.cmp(&b))
-    });
-    order.truncate(k);
-    order
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut keyed: Vec<(f64, f64, usize)> = probabilities
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (p, hinn_linalg::vector::dist_sq(&points[i], query), i))
+        .collect();
+    let order = |a: &(f64, f64, usize), b: &(f64, f64, usize)| {
+        b.0.total_cmp(&a.0)
+            .then(a.1.total_cmp(&b.1))
+            .then(a.2.cmp(&b.2))
+    };
+    if k < keyed.len() {
+        keyed.select_nth_unstable_by(k - 1, order);
+        keyed.truncate(k);
+    }
+    keyed.sort_unstable_by(order);
+    keyed.into_iter().map(|(_, _, id)| id).collect()
 }
 
 #[cfg(test)]
@@ -1867,5 +1877,95 @@ mod tests {
             SessionEngine::resume_rebased(config(), onto, from, &snap),
             Err(HinnError::EpochMismatch { .. })
         ));
+    }
+
+    /// The full stable sort that `rank_neighbors` replaced, kept as its
+    /// specification: every id sorted, two distances recomputed per tie.
+    fn rank_neighbors_full_sort(
+        probabilities: &[f64],
+        points: &[Vec<f64>],
+        query: &[f64],
+        k: usize,
+    ) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..probabilities.len()).collect();
+        order.sort_by(|&a, &b| {
+            probabilities[b]
+                .total_cmp(&probabilities[a])
+                .then_with(|| {
+                    let da = hinn_linalg::vector::dist_sq(&points[a], query);
+                    let db = hinn_linalg::vector::dist_sq(&points[b], query);
+                    da.total_cmp(&db)
+                })
+                .then(a.cmp(&b))
+        });
+        order.truncate(k);
+        order
+    }
+
+    /// A ranking input of `n` points in `d` dimensions. Coordinates sit on
+    /// a coarse lattice so distances tie often; `ties` picks the
+    /// probability regime: 0 mostly zeros (the common case after a few
+    /// majors), 1 a few repeated levels, 2 continuous, 3 zeros with NaN
+    /// and `-0.0` probabilities, 4 zeros with NaN coordinates.
+    fn ranking_case(seed: u64, n: usize, d: usize, ties: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let points: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..d)
+                    .map(|_| match (ties, next() % 50) {
+                        (4, 0) => f64::NAN,
+                        (_, r) => (r % 5) as f64,
+                    })
+                    .collect()
+            })
+            .collect();
+        let probabilities = (0..n)
+            .map(|_| {
+                let r = next();
+                match ties {
+                    1 => [0.0, 0.25, 0.5, 1.0][(r % 4) as usize],
+                    2 => (r >> 11) as f64 / (1u64 << 53) as f64,
+                    3 => match r % 20 {
+                        0 => f64::NAN,
+                        1 => -f64::NAN,
+                        2 => -0.0,
+                        3 => 0.5,
+                        _ => 0.0,
+                    },
+                    _ if r % 10 == 0 => [0.25, 0.5, 1.0][(r / 10 % 3) as usize],
+                    _ => 0.0,
+                }
+            })
+            .collect();
+        (probabilities, points)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn top_k_ranking_equals_the_full_sort(
+            seed in 0u64..1 << 40,
+            size in 0..7usize,
+            d in 1..6usize,
+            ties in 0..5usize,
+            kk in 0..6usize,
+        ) {
+            let n = [0, 1, 2, 9, 100, 1_000, 20_000][size];
+            let k = [0, 1, 7, n / 2, n, n + 3][kk];
+            let (probabilities, points) = ranking_case(seed, n, d, ties);
+            let query = vec![2.0; d];
+            assert_eq!(
+                rank_neighbors(&probabilities, &points, &query, k),
+                rank_neighbors_full_sort(&probabilities, &points, &query, k),
+                "n={n} d={d} k={k} ties={ties} seed={seed}"
+            );
+        }
     }
 }

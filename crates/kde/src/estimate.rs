@@ -9,8 +9,10 @@
 //!
 //! The accumulation is vectorized through `hinn_linalg::simd` without
 //! changing a single output bit: kernel columns are evaluated with
-//! [`hinn_linalg::simd::gaussian_prep`] (exactly-rounded ops; `exp` stays
-//! scalar libm), and outer products land on the grid through `axpy`
+//! [`hinn_linalg::simd::gaussian_prep`] (exactly-rounded ops) and
+//! [`hinn_linalg::simd::exp_inplace`] (the workspace's own table-driven
+//! `exp`, which [`gaussian_kernel`] shares, so no value here depends on
+//! the host's libm), and outer products land on the grid through `axpy`
 //! passes. Points are processed in blocks of [`KDE_BLOCK`] so one
 //! read-modify-write pass over a grid row applies eight points'
 //! contributions ([`hinn_linalg::simd::axpy8`]); cells outside a point's
@@ -104,8 +106,8 @@ pub(crate) fn count_nonfinite(points: &[[f64; 2]]) -> usize {
 
 /// Fill `col[lo..=hi]` with `gaussian_kernel(grid(i) − center, h)` for
 /// `i ∈ [lo, hi]`, bit-identical to the scalar kernel call per cell: the
-/// exactly-rounded prefix (`−0.5·z²`) and the final normalization divide
-/// are vectorized; `exp` stays a scalar libm call per cell.
+/// exactly-rounded prefix (`−0.5·z²`), the `exp` and the final
+/// normalization divide are each one vectorized pass.
 pub(crate) fn fill_kernel_column(
     col: &mut [f64],
     lo: usize,
@@ -118,9 +120,7 @@ pub(crate) fn fill_kernel_column(
     assert!(h > 0.0, "gaussian_kernel: bandwidth must be positive");
     let seg = &mut col[lo..=hi];
     simd::gaussian_prep(seg, lo, origin, step, center, h);
-    for v in seg.iter_mut() {
-        *v = v.exp();
-    }
+    simd::exp_inplace(seg);
     simd::div_inplace(seg, (2.0 * std::f64::consts::PI).sqrt() * h);
 }
 

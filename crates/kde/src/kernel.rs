@@ -4,7 +4,9 @@
 //! `K_h(x − xᵢ) = (1 / (√(2π) h)) · exp(−(x − xᵢ)² / 2h²)` and quotes
 //! Silverman's normal-reference rule `h = 1.06 · σ · N^(−1/5)` for the
 //! bandwidth. In two dimensions we use a product kernel with per-axis
-//! bandwidths.
+//! bandwidths. `exp` is [`hinn_linalg::simd::exp`], the same function the
+//! grid estimators vectorize, so a pointwise kernel value and a grid cell
+//! agree bit for bit.
 
 use std::f64::consts::PI;
 
@@ -16,7 +18,7 @@ use std::f64::consts::PI;
 pub fn gaussian_kernel(u: f64, h: f64) -> f64 {
     assert!(h > 0.0, "gaussian_kernel: bandwidth must be positive");
     let z = u / h;
-    (-0.5 * z * z).exp() / ((2.0 * PI).sqrt() * h)
+    hinn_linalg::simd::exp(-0.5 * z * z) / ((2.0 * PI).sqrt() * h)
 }
 
 /// Silverman's rule-of-thumb bandwidth `h = 1.06 · σ · N^(−1/5)` (§2.2).

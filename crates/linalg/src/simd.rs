@@ -4,16 +4,19 @@
 //!
 //! # Why these kernels can be SIMD *and* bit-identical
 //!
-//! IEEE-754 addition, subtraction, multiplication, division, and square
-//! root are *exactly rounded*: for given operands the result is the same
-//! on every conforming implementation, scalar or vector lane. Two rules
-//! follow:
+//! IEEE-754 addition, subtraction, multiplication, division, square
+//! root and fused multiply-add are *exactly rounded*: for given operands
+//! the result is the same on every conforming implementation, scalar or
+//! vector lane. Two rules follow:
 //!
 //! 1. **Elementwise maps vectorize freely.** `y[i] += c·x[i]`, `v = u/h`,
-//!    `d.sqrt()` — each output depends on one input element through a
-//!    fixed op sequence, so an 8-wide lane computes the very bits the
-//!    scalar loop would. (Rust/LLVM never contracts `a*b + c` into an FMA
-//!    without explicit fast-math, so the op sequence is preserved.)
+//!    `d.sqrt()`, `e^x` — each output depends on one input element
+//!    through a fixed op sequence, so an 8-wide lane computes the very
+//!    bits the scalar loop would. Rust/LLVM never contracts `a*b + c`
+//!    into an FMA without explicit fast-math, so the op sequence is
+//!    preserved; a fused op appears only where the scalar spec itself
+//!    writes `mul_add` (the table-driven [`exp_inplace`], whose spec
+//!    lives in `simd/exp.rs`), and every backend fuses exactly there.
 //! 2. **Reductions must keep their association.** `Σ dᵢ²` folded
 //!    left-to-right is a *different* f64 than the same terms folded
 //!    pairwise. The spec kernels ([`crate::vector::dot`],
@@ -34,6 +37,7 @@
 //! ISA), [`Backend::Avx2`] and [`Backend::Avx512`] (the same loop bodies
 //! compiled under `#[target_feature]`, plus hand-written intrinsics where
 //! autovectorization needs help — all restricted to exactly-rounded ops).
+//! `Avx2` is offered only on CPUs that also have FMA.
 //! The active backend is chosen once per process: `HINN_SIMD`
 //! (`scalar | avx2 | avx512 | auto`) overrides, otherwise the best
 //! runtime-detected feature wins. Because every backend is bit-identical
@@ -42,6 +46,8 @@
 //! golden-session CI matrix hold it to that.
 
 use std::sync::OnceLock;
+
+mod exp;
 
 /// Environment variable selecting the kernel backend:
 /// `scalar`, `avx2`, `avx512`, or `auto` (the default — best detected).
@@ -71,15 +77,27 @@ impl Backend {
 
     /// Every backend usable on this machine, `Scalar` first.
     pub fn available() -> Vec<Backend> {
-        let mut out = vec![Backend::Scalar];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                out.push(Backend::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                out.push(Backend::Avx512);
-            }
+            use std::arch::is_x86_feature_detected as has;
+            Self::usable(has!("avx2"), has!("fma"), has!("avx512f"))
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Self::usable(false, false, false)
+        }
+    }
+
+    /// The backends a CPU with the given features can run. `Avx2` needs
+    /// FMA as well: its [`exp_inplace`] body fuses multiply-adds.
+    /// (AVX-512F has its own fused multiply-add.)
+    fn usable(avx2: bool, fma: bool, avx512f: bool) -> Vec<Backend> {
+        let mut out = vec![Backend::Scalar];
+        if avx2 && fma {
+            out.push(Backend::Avx2);
+        }
+        if avx512f {
+            out.push(Backend::Avx512);
         }
         out
     }
@@ -106,7 +124,7 @@ pub fn active_backend() -> Backend {
 ///
 /// Safety of the `unsafe` arms: the `Avx2`/`Avx512` variants are only
 /// ever produced by [`Backend::available`]/[`active_backend`] after the
-/// matching `is_x86_feature_detected!` check (or handed in by tests that
+/// matching `is_x86_feature_detected!` checks (or handed in by tests that
 /// picked them from `available()`).
 macro_rules! dispatch {
     ($b:expr, $body:ident ( $($arg:expr),* $(,)? )) => {
@@ -233,8 +251,7 @@ pub fn axpy8_backend(b: Backend, cs: &[f64; 8], xs: &[&[f64]; 8], y: &mut [f64])
 /// exactly the argument `hinn_kde::gaussian_kernel` feeds to `exp`, one
 /// fused pass. Every op (int→f64 convert, `·step`, `+origin`, `−center`,
 /// `/h`, the two multiplies) is exactly rounded, so the vector lanes
-/// reproduce the scalar bits; the `exp` itself stays a scalar libm call
-/// at the call site (transcendental — no bit-identical wide form).
+/// reproduce the scalar bits; [`exp_inplace`] then takes the result.
 pub fn gaussian_prep(out: &mut [f64], i0: usize, origin: f64, step: f64, center: f64, h: f64) {
     gaussian_prep_backend(active_backend(), out, i0, origin, step, center, h);
 }
@@ -251,6 +268,28 @@ pub fn gaussian_prep_backend(
     h: f64,
 ) {
     dispatch!(b, gaussian_prep(out, i0, origin, step, center, h))
+}
+
+/// In-place elementwise `xs[i] ← e^xs[i]`, bit-identical on every
+/// backend to the table-driven scalar spec in `simd/exp.rs` — a port of
+/// the `exp` glibc ships since 2.28, which it matches bit for bit on
+/// x86-64 hosts whose glibc runs its FMA variant. Lanes with
+/// `|x| < 2⁻⁵⁴`, `|x| ≥ 512` or a non-finite `x` take `f64::exp`.
+pub fn exp_inplace(xs: &mut [f64]) {
+    exp_inplace_backend(active_backend(), xs);
+}
+
+/// [`exp_inplace`] pinned to an explicit backend.
+#[doc(hidden)]
+pub fn exp_inplace_backend(b: Backend, xs: &mut [f64]) {
+    dispatch!(b, exp_inplace(xs))
+}
+
+/// `e^x` for one value: [`exp_inplace`] on a single lane.
+pub fn exp(x: f64) -> f64 {
+    let mut v = [x];
+    exp_inplace(&mut v);
+    v[0]
 }
 
 /// In-place elementwise division `xs[i] ← xs[i] / c` (exactly rounded ⇒
@@ -427,6 +466,9 @@ mod scalar {
     pub(super) fn div_inplace(xs: &mut [f64], c: f64) {
         super::div_inplace_body(xs, c);
     }
+    pub(super) fn exp_inplace(xs: &mut [f64]) {
+        super::exp::exp_body(xs);
+    }
 }
 
 /// Stamp a `#[target_feature]` backend module: same bodies, wider ISA.
@@ -475,6 +517,7 @@ x86_backend!(avx512_base, "avx512f");
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     pub(super) use super::avx2_base::*;
+    pub(super) use super::exp::avx2::exp_inplace;
 
     /// # Safety
     /// Caller must have verified AVX2 support.
@@ -516,6 +559,7 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     pub(super) use super::avx512_base::*;
+    pub(super) use super::exp::avx512::exp_inplace;
 
     /// # Safety
     /// Caller must have verified AVX-512F support.
@@ -694,6 +738,32 @@ mod tests {
         let cols: Vec<&[f64]> = vec![&c0];
         let mut out = [0.0, 0.0];
         dist_sq_cols(&cols, &[1.0, 2.0], &mut out);
+    }
+
+    #[test]
+    fn avx2_is_offered_only_with_fma() {
+        use Backend::*;
+        assert_eq!(Backend::usable(false, false, false), [Scalar]);
+        assert_eq!(Backend::usable(true, false, false), [Scalar]);
+        assert_eq!(Backend::usable(false, true, false), [Scalar]);
+        assert_eq!(Backend::usable(true, true, false), [Scalar, Avx2]);
+        assert_eq!(Backend::usable(true, false, true), [Scalar, Avx512]);
+        assert_eq!(Backend::usable(true, true, true), [Scalar, Avx2, Avx512]);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            Backend::available().contains(&Avx2),
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        );
+    }
+
+    #[test]
+    fn single_value_exp_is_the_one_lane_kernel() {
+        for x in [-18.0, -0.5, 1e-300, 0.0, 3.25, 600.0, f64::NAN] {
+            let mut v = [x];
+            exp_inplace_backend(Backend::Scalar, &mut v);
+            assert_eq!(exp(x).to_bits(), v[0].to_bits(), "x={x}");
+        }
     }
 
     #[test]

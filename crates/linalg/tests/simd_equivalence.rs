@@ -11,7 +11,7 @@
 
 use hinn_linalg::simd::{
     axpy8_backend, axpy_inplace_backend, dist_cols, dist_sq_cols_backend, div_inplace_backend,
-    gaussian_prep_backend, sqrt_inplace_backend, Backend,
+    exp_inplace_backend, gaussian_prep_backend, sqrt_inplace_backend, Backend,
 };
 use hinn_linalg::vector;
 use proptest::prelude::*;
@@ -194,5 +194,190 @@ proptest! {
             poisoned.is_nan(),
             "p={}: NaN at {} (side {}) must poison, got {}", p, at, nan_side, poisoned
         );
+    }
+}
+
+/// Inputs where a table-driven `exp` is most likely to slip: both zeros,
+/// subnormals, the infinities and NaN, the edges of the table window
+/// (`2⁻⁵⁴`, `512`) and the values just inside them, the overflow and
+/// underflow thresholds, and the KDE's own range `[−18, 0]`.
+fn exp_specials() -> Vec<f64> {
+    let tiny = 2f64.powi(-54);
+    let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+    let mut v = vec![
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        1e-310,
+        -1e-310,
+        f64::MIN_POSITIVE,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        tiny,
+        -tiny,
+        below(tiny),
+        -below(tiny),
+        512.0,
+        -512.0,
+        below(512.0),
+        -below(512.0),
+        709.78,
+        709.79,
+        -745.14,
+        -745.2,
+        -708.4,
+        1.0,
+        -1.0,
+        -18.0,
+        -1e-9,
+        f64::MAX,
+        f64::MIN,
+    ];
+    v.extend((0..=36).map(|i| -0.5 * i as f64));
+    v
+}
+
+fn exp_value() -> impl Strategy<Value = f64> {
+    let specials = exp_specials();
+    prop_oneof![
+        -18.5..0.0f64,
+        -745.5..710.0f64,
+        -1e-12..1e-12f64,
+        (0..specials.len()).prop_map(move |i| specials[i]),
+    ]
+}
+
+/// Every backend's `exp` against the scalar spec, on lengths `0..=17` so
+/// each lane count and every masked tail of the 4- and 8-wide bodies runs.
+fn check_exp_backends(xs: &[f64]) -> Result<(), String> {
+    for len in 0..=17.min(xs.len()) {
+        let mut want = xs[..len].to_vec();
+        exp_inplace_backend(Backend::Scalar, &mut want);
+        for b in backends() {
+            let mut got = xs[..len].to_vec();
+            exp_inplace_backend(b, &mut got);
+            for i in 0..len {
+                if got[i].to_bits() != want[i].to_bits() {
+                    return Err(format!(
+                        "{b:?} len={len} lane {i}: exp({:e}) = {:e}, spec {:e}",
+                        xs[i], got[i], want[i]
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn exp_is_bit_identical_on_every_backend(xs in proptest::collection::vec(exp_value(), 17..=17)) {
+        let checked = check_exp_backends(&xs);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+}
+
+#[test]
+fn exp_specials_are_bit_identical_in_every_lane_position() {
+    // Rotate the specials through every lane of every tail length.
+    let specials = exp_specials();
+    for start in 0..specials.len() {
+        let xs: Vec<f64> = specials
+            .iter()
+            .cycle()
+            .skip(start)
+            .take(17)
+            .copied()
+            .collect();
+        check_exp_backends(&xs).unwrap();
+    }
+}
+
+/// `n_per_family` seeded inputs in each of three families: the KDE's
+/// range, the whole finite range `exp` can return, and raw bit patterns.
+fn exp_inputs(seed: u64, n_per_family: usize) -> Vec<f64> {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let unit = |bits: u64| (bits >> 11) as f64 / (1u64 << 53) as f64;
+    let mut xs = Vec::with_capacity(3 * n_per_family);
+    xs.extend((0..n_per_family).map(|_| -18.5 * unit(next())));
+    xs.extend((0..n_per_family).map(|_| -745.5 + 1455.5 * unit(next())));
+    xs.extend((0..n_per_family).map(|_| f64::from_bits(next())));
+    xs
+}
+
+/// Whether this host's `f64::exp` is glibc's table-driven `exp` in its FMA
+/// build — the function the spec ports — or why not.
+fn host_exp_is_the_ported_glibc() -> Result<(), String> {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn gnu_get_libc_version() -> *const std::ffi::c_char;
+        }
+        // SAFETY: glibc returns a static NUL-terminated string.
+        let version = unsafe { std::ffi::CStr::from_ptr(gnu_get_libc_version()) };
+        let version = version.to_string_lossy();
+        let mut parts = version.split('.').map(|p| p.parse::<u32>().unwrap_or(0));
+        let (major, minor) = (parts.next().unwrap_or(0), parts.next().unwrap_or(0));
+        if (major, minor) < (2, 28) {
+            return Err(format!(
+                "glibc {version} predates the table-driven exp (2.28)"
+            ));
+        }
+        if !std::arch::is_x86_feature_detected!("fma") {
+            return Err("glibc runs its non-FMA exp on a CPU without FMA".into());
+        }
+        Ok(())
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")))]
+    {
+        Err("the host libm is not x86_64 glibc".into())
+    }
+}
+
+#[test]
+fn exp_agrees_with_the_spec_on_every_backend_and_with_the_host_libm() {
+    // 1.2·10⁷ inputs, in batches. Unfusing one step of the polynomial
+    // changes about one result in 10⁶, so the short cases above can miss
+    // it and this many cannot.
+    let host = host_exp_is_the_ported_glibc();
+    if let Err(why) = &host {
+        eprintln!("skipping the exp host-libm comparison: {why}");
+    }
+    for seed in 1..41 {
+        let xs = exp_inputs(seed, 100_000);
+        let mut spec = xs.clone();
+        exp_inplace_backend(Backend::Scalar, &mut spec);
+        if host.is_ok() {
+            for (x, s) in xs.iter().zip(&spec) {
+                assert_eq!(
+                    s.to_bits(),
+                    x.exp().to_bits(),
+                    "exp({x:e}): spec {s:e}, libm {:e}",
+                    x.exp()
+                );
+            }
+        }
+        for b in backends() {
+            let mut got = xs.clone();
+            exp_inplace_backend(b, &mut got);
+            for ((x, g), s) in xs.iter().zip(&got).zip(&spec) {
+                assert_eq!(
+                    g.to_bits(),
+                    s.to_bits(),
+                    "{b:?}: exp({x:e}) = {g:e}, spec {s:e}"
+                );
+            }
+        }
     }
 }
